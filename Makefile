@@ -65,12 +65,14 @@ docs:
 	echo "all packages have non-trivial package comments"
 
 # fuzz-smoke runs each byte-format fuzzer for a short bounded burst, so
-# the pre-merge gate gets real randomized coverage of the column codecs
-# and the v3 block reader on top of the committed corpora (which the
-# plain test run already replays as regression inputs).
+# the pre-merge gate gets real randomized coverage of the column codecs,
+# the v3 block reader and the legacy v2 reader (plain and gzip blocks) on
+# top of the committed corpora (which the plain test run already replays
+# as regression inputs).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzColumnCodecs$$' -fuzztime=10s ./internal/codec
 	$(GO) test -run='^$$' -fuzz='^FuzzV3Block$$' -fuzztime=10s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzV2Partition$$' -fuzztime=10s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzSubscriptionIndex$$' -fuzztime=10s ./internal/subscribe
 	$(GO) test -run='^$$' -fuzz='^FuzzSummarySidecar$$' -fuzztime=10s ./internal/summary
 

@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: fig5|blocks|encode|compact|approx|pointpat|fig6|table5|table6|fig7|table8|fig9|table9|ablation|fig7sweep|serve|cluster|subscribe|all")
+		exp       = flag.String("exp", "all", "experiment: fig5|compact|approx|pointpat|fig6|table5|table6|fig7|table8|fig9|table9|ablation|fig7sweep|serve|cluster|subscribe|all")
 		events    = flag.Int("events", 200_000, "NYC-like event count")
 		trajs     = flag.Int("trajs", 20_000, "Porto-like trajectory count")
 		pois      = flag.Int("pois", 100_000, "OSM-like POI count")
@@ -146,7 +146,7 @@ func run(exp string, cfg engine.Config, scale bench.Scale, windows, clients int,
 			}
 		}
 	}
-	needEnv := all || want["fig5"] || want["blocks"] || want["encode"] || want["compact"] ||
+	needEnv := all || want["fig5"] || want["compact"] ||
 		want["fig6"] || want["table5"] || want["table6"] || want["fig7"] || want["ablation"] ||
 		want["fig7sweep"]
 	if !needEnv && !want["serve"] && !want["cluster"] && !want["subscribe"] && !want["approx"] {
@@ -249,39 +249,6 @@ func run(exp string, cfg engine.Config, scale bench.Scale, windows, clients int,
 			}
 		}
 	}
-	// The storage-format comparison rides with fig5: same selection shape,
-	// but v1 vs v2 on-disk layouts instead of native vs indexed paths.
-	if all || want["fig5"] || want["blocks"] {
-		rows, err := bench.FigBlocks(env, workdir, []float64{0.05, 0.1, 0.2, 0.4, 0.8}, windows)
-		if err != nil {
-			return err
-		}
-		bench.FigBlocksTable(rows).Fprint(os.Stdout)
-		for _, r := range rows {
-			if err := emit("blocks", r); err != nil {
-				return err
-			}
-		}
-	}
-	// The storage-format-v3 headline: all three generations at their
-	// defaults under the same window workload, with the v2-gzip/v3 ratios
-	// summarized for the smallest range fraction.
-	if all || want["encode"] {
-		rows, sum, err := bench.EncodeBench(env, workdir, []float64{0.01, 0.05, 0.1, 0.4}, windows)
-		if err != nil {
-			return err
-		}
-		bench.EncodeTable(rows).Fprint(os.Stdout)
-		bench.EncodeSummaryTable(sum).Fprint(os.Stdout)
-		for _, r := range rows {
-			if err := emit("encode", r); err != nil {
-				return err
-			}
-		}
-		if err := emit("encode_summary", sum); err != nil {
-			return err
-		}
-	}
 	// The delta-layer experiment: the same corpus queried as one-shot
 	// rebuild, base+streamed deltas, and post-compaction, with the selected
 	// counts cross-checked between the three states.
@@ -324,7 +291,7 @@ func run(exp string, cfg engine.Config, scale bench.Scale, windows, clients int,
 		bench.Fig7Table(rows).Fprint(os.Stdout)
 	}
 	if all || want["ablation"] {
-		bench.AblationTable(env, workdir).Fprint(os.Stdout)
+		bench.AblationTable(env).Fprint(os.Stdout)
 	}
 	// The data-scale sweep rebuilds sub-environments, so it runs only when
 	// asked for explicitly.

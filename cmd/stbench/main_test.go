@@ -27,7 +27,7 @@ func TestRunAllTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	// -json captured machine-readable rows for the perf-trajectory file.
-	for _, exp := range []string{`"exp":"fig5"`, `"exp":"blocks"`, `"exp":"serve"`} {
+	for _, exp := range []string{`"exp":"fig5"`, `"exp":"compact"`, `"exp":"serve"`} {
 		if !strings.Contains(jsonBuf.String(), exp) {
 			t.Errorf("json output missing %s rows", exp)
 		}

@@ -247,18 +247,25 @@ func TestSubscribeServerMode(t *testing.T) {
 
 	// Commit from a second goroutine once the subscription is up; the
 	// client's stream sees init plus the commit's batches.
+	appended := make(chan error, 1)
 	go func() {
 		// The hub admits the subscriber before the init is delivered, so a
 		// short settle keeps the commit after admission without coupling to
 		// client internals. Commits before admission land in the init anyway.
 		time.Sleep(100 * time.Millisecond)
-		if _, err := sch.Append(datagen.NYC(100, 9), dir, "cli-sub-1"); err != nil {
-			t.Error(err)
-		}
+		_, err := sch.Append(datagen.NYC(100, 9), dir, "cli-sub-1")
+		appended <- err
 	}()
 	var buf bytes.Buffer
-	if err := subscribeServer(&buf, ts.URL, req, 2); err != nil {
+	subErr := subscribeServer(&buf, ts.URL, req, 2)
+	// The client returns once it has its events, while the append's commit
+	// hook may still be reading delta files for other partitions: join it
+	// before the test returns and its temp dir is deleted.
+	if err := <-appended; err != nil {
 		t.Fatal(err)
+	}
+	if subErr != nil {
+		t.Fatal(subErr)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "subscribed: ") || !strings.Contains(out, "init: generation") {

@@ -54,7 +54,7 @@ func CompactExp(env *Env, workdir string, fracs []float64, queriesPerFrac int, b
 		batches = 8
 	}
 	sum := CompactSummary{}
-	opts := selection.IngestOptions{Name: "nyc", Compress: true, SampleFrac: 0.05, Seed: 1, BlockRecords: 128}
+	opts := selection.IngestOptions{Name: "nyc", SampleFrac: 0.05, Seed: 1, BlockRecords: 128}
 	planner := partition.TSTR{GT: 12, GS: 8}
 
 	rebuildDir := filepath.Join(workdir, "compact-rebuild")

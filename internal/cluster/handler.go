@@ -49,8 +49,8 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var qreq serve.QueryRequest
-	if err := json.NewDecoder(req.Body).Decode(&qreq); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if status, err := serve.DecodeJSON(w, req, &qreq); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	if req.URL.Query().Get("explain") == "1" {

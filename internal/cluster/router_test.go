@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -510,6 +512,17 @@ func TestRouterHTTPHandler(t *testing.T) {
 	}
 	if metrics.Router.ScatterWidth == 0 {
 		t.Fatal("metrics scatter width not counted")
+	}
+
+	huge := `{"dataset":"` + strings.Repeat("a", serve.MaxRequestBytes) + `"}`
+	hresp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "exceeds") {
+		t.Fatalf("oversized body: status %d, body %s; want 413 naming the limit", hresp.StatusCode, msg)
 	}
 
 	get := func(path string) int {

@@ -10,6 +10,7 @@ import (
 	"st4ml/internal/engine"
 	"st4ml/internal/geom"
 	"st4ml/internal/partition"
+	"st4ml/internal/storage"
 	"st4ml/internal/tempo"
 )
 
@@ -69,42 +70,35 @@ func plannerLayout(name string, p partition.Planner, mod func(*IngestOptions)) m
 // metaLayouts covers ST-aware partitioners at two granularities, a purely
 // spatial partitioner, the ST-oblivious hash layout a plain pipeline would
 // produce (partition bounds then come solely from storage.Write's
-// per-partition record-box union), and storage-format variants: tiny and
-// single-record blocks, compressed blocks, unclustered blocks (worst-case
-// footer bounds), and the legacy v1 monolithic layout.
+// per-partition record-box union), and block-size variants: tiny and
+// single-record blocks, and unclustered blocks (worst-case footer bounds).
+// Every layout is the columnar v3 format, read through evC's Columnar
+// schema, so the per-record predicate is active across the whole suite;
+// the v1 and v2 readers have their own pruned-equals-full sweep in the
+// storage package.
 func metaLayouts() []metaLayout {
 	return []metaLayout{
 		plannerLayout("tstr4x4", partition.TSTR{GT: 4, GS: 4}, nil),
 		plannerLayout("tstr2x8", partition.TSTR{GT: 2, GS: 8}, nil),
 		plannerLayout("str2d9", partition.STR2D{N: 9}, nil),
-		plannerLayout("tstr4x4-b16gz", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
+		plannerLayout("tstr4x4-b16", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
 			o.BlockRecords = 16
-			o.Compress = true
 		}),
 		plannerLayout("str2d9-b1", partition.STR2D{N: 9}, func(o *IngestOptions) {
 			o.BlockRecords = 1
 		}),
-		plannerLayout("tstr4x4-nocluster", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
-			o.BlockRecords = 32
-			o.NoCluster = true
-		}),
-		plannerLayout("tstr4x4-v1", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
-			o.Version = 1
-			o.Compress = true
-		}),
-		// Explicit format pins: the row-major v2 layout and the columnar v3
-		// layout at single-record block granularity. (Unpinned layouts above
-		// already run v3 — the default — through evC's Columnar schema, so
-		// the per-record predicate is active across the whole suite.)
-		plannerLayout("tstr4x4-v2gz", partition.TSTR{GT: 4, GS: 4}, func(o *IngestOptions) {
-			o.Version = 2
-			o.Compress = true
-			o.BlockRecords = 32
-		}),
-		plannerLayout("str2d9-v3b1", partition.STR2D{N: 9}, func(o *IngestOptions) {
-			o.Version = 3
-			o.BlockRecords = 1
-		}),
+		// Ingest always Z-orders partitions, so the unclustered layout
+		// writes the planner's partitions in arrival order itself.
+		{name: "tstr4x4-nocluster", ingest: func(t *testing.T, ctx *engine.Context, dir string, data []ev, seed int64) {
+			t.Helper()
+			r := engine.Parallelize(ctx, data, 8)
+			parted, _ := partition.ByPlanner(r, evC, evBox, partition.TSTR{GT: 4, GS: 4},
+				partition.Options{SampleFrac: 0.3, Seed: seed})
+			if _, err := storage.Write(dir, evC, parted.CollectPartitions(), evBox,
+				storage.WriteOptions{Name: "tstr4x4-nocluster", BlockRecords: 32}); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{name: "hash6", ingest: func(t *testing.T, ctx *engine.Context, dir string, data []ev, seed int64) {
 			t.Helper()
 			r := engine.HashPartitionBy(engine.Parallelize(ctx, data, 8), evC, 6)
@@ -164,9 +158,9 @@ func metamorphicWindows(rng *rand.Rand, data []ev, kind int) []Window {
 	}
 }
 
-// TestMetamorphicPrunedEqualsFull is the suite entry point: 10 layouts
-// (spanning v1, v2, and v3 columnar formats) x 2 index modes x 8 seeded
-// window sets = 160 combos, each asserting the byte-for-byte multiset
+// TestMetamorphicPrunedEqualsFull is the suite entry point: 7 layouts x 2
+// index modes x 10 seeded window sets (two cycles of the five kinds) = 140
+// combos, each asserting the byte-for-byte multiset
 // identity SelectPruned(w) == Select(w), plus the structural invariants
 // pruning promises (never loads more than the full scan; empty window
 // sets load nothing).
@@ -188,7 +182,7 @@ func TestMetamorphicPrunedEqualsFull(t *testing.T) {
 		lay.ingest(t, ctx, dir, data, seed)
 
 		for _, useIndex := range []bool{false, true} {
-			for ws := 0; ws < 8; ws++ {
+			for ws := 0; ws < 10; ws++ {
 				combos++
 				name := fmt.Sprintf("%s/index=%v/w%d", lay.name, useIndex, ws)
 				wrng := rand.New(rand.NewSource(seed*1000 + int64(ws)))

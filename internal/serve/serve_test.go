@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +345,20 @@ func TestUnknownDatasetAndBadBody(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body status = %d, want 400", resp.StatusCode)
+	}
+	// A body past MaxRequestBytes is refused with 413.
+	huge := `{"dataset":"` + strings.Repeat("a", MaxRequestBytes) + `"}`
+	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(er.Error, "exceeds") {
+		t.Errorf("oversized body: status %d, error %q; want 413 naming the limit", resp.StatusCode, er.Error)
 	}
 }
 

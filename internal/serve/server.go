@@ -102,12 +102,28 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// readJSONBody decodes one JSON request body.
-func readJSONBody(r *http.Request, dst any) error {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		return fmt.Errorf("decode request: %w", err)
+// MaxRequestBytes caps the JSON body of every request the daemons
+// decode (stserved's query, subquery and subscribe routes, strouter's
+// query route). A legitimate body is a window list and a few options,
+// kilobytes at most; the cap bounds what a malformed or hostile client
+// can make the server buffer.
+const MaxRequestBytes = 1 << 20
+
+// DecodeJSON decodes one JSON request body of at most MaxRequestBytes
+// into dst. On failure it returns the status to answer with: 413 for an
+// oversized body, 400 for anything else.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(dst)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge,
+			fmt.Errorf("decode request: body exceeds %d bytes", tooLarge.Limit)
+	default:
+		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -129,8 +145,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := readJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if status, err := DecodeJSON(w, r, &req); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	if r.URL.Query().Get("explain") == "1" {

@@ -86,8 +86,8 @@ func (s *Server) handleSubquery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubQueryRequest
-	if err := readJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if status, err := DecodeJSON(w, r, &req); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	if r.URL.Query().Get("explain") == "1" {

@@ -142,8 +142,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := readJSONBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if status, err := DecodeJSON(w, r, &req); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -12,8 +12,9 @@ import (
 	"st4ml/internal/index"
 )
 
-// Storage format v2 (see DESIGN.md "Storage format v2"): a partition file
-// is a sequence of independently-compressed, CRC-framed blocks of ~N
+// Storage format v2 (see DESIGN.md "Storage format v2"), read-only: older
+// releases wrote it, this package only reads it. A partition file is a
+// sequence of independently-compressed, CRC-framed blocks of ~N
 // records, closed by a framed footer that records every block's byte
 // range, record count, and ST bounds. The footer is what lets a reader
 // skip — not just avoid decoding, but avoid even decompressing — blocks
@@ -47,16 +48,9 @@ const (
 )
 
 // FormatVersion is the version number written into new dataset metadata:
-// the columnar v3 layout of blockv3.go. v1 and v2 datasets stay readable
-// through their legacy paths.
+// the columnar v3 layout of blockv3.go, the only layout this package
+// writes. v1 and v2 datasets stay readable through their legacy paths.
 const FormatVersion = 3
-
-// DefaultBlockRecords is the record count per block when WriteOptions
-// does not specify one, for v2 files. Small enough that a
-// city-block-sized query decompresses a few blocks, large enough that
-// framing overhead and the footer stay negligible. v3 files default to
-// the finer DefaultBlockRecordsV3.
-const DefaultBlockRecords = 4096
 
 // BlockMeta describes one block of a v2 partition file, as recorded in
 // the file's footer.
@@ -134,9 +128,8 @@ func decodeFooter(payload []byte, blockRegionEnd int64) []BlockMeta {
 	return blocks
 }
 
-// Gzip codecs are pooled: Reset-able and expensive to construct (the
-// writer allocates its full deflate state, the reader its window).
-var gzWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+// Gzip readers are pooled: Reset-able and expensive to construct (each
+// allocates its window).
 var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // gunzipInto decompresses src into a pooled buffer of exactly rawLen

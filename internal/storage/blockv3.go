@@ -52,11 +52,13 @@ const (
 	v3AllBits = v3Native | v3Point | v3HasStr
 )
 
-// DefaultBlockRecordsV3 is the records-per-block target for v3 files.
-// Columnar framing costs a near-constant ~100 bytes per block (no gzip
-// stream to warm up), so v3 affords 4× finer blocks than v2 — and with
-// them 4× finer pruning granularity for small-range queries.
-const DefaultBlockRecordsV3 = 1024
+// DefaultBlockRecords is the records-per-block target when the writer is
+// given none — by WriteOptions, or by the metadata of a v1 dataset that a
+// delta append or compaction extends. Columnar framing costs a
+// near-constant ~100 bytes per block (no gzip stream to warm up), so v3
+// affords 4× finer blocks than v2's 4096 — and with them 4× finer pruning
+// granularity for small-range queries.
+const DefaultBlockRecords = 1024
 
 // maxBlockRecords caps the record count a single block may claim; counts
 // beyond it are treated as corruption before any allocation happens.
@@ -75,17 +77,11 @@ func capHint(n int64) int64 {
 	return n
 }
 
-// writePartitionV3 writes one base partition in the columnar layout.
-func writePartitionV3[T any](
-	dir string, i int, c codec.Codec[T], part []T,
-	boxOf func(T) index.Box, blockRecords int,
-) (PartitionMeta, error) {
-	return writePartitionV3File(dir, partitionFileName(i), c, part, boxOf, blockRecords, false)
-}
-
-// writePartitionV3File is the v3 analogue of writePartitionV2File: the
-// shared writer behind base partitions, delta files, and compaction
-// rewrites. Codecs carrying a Columnar schema get native column streams;
+// writePartitionV3File is the one partition-file writer: base partitions,
+// delta files and compaction rewrites all go through it. sync forces the
+// file to stable storage before returning; the delta layer requires it,
+// because the manifest swap that makes a file visible must never commit a
+// file the disk does not yet hold. Codecs carrying a Columnar schema get native column streams;
 // any other codec gets the generic layout (one frame of row encodings per
 // block), so v3 never requires schema cooperation.
 func writePartitionV3File[T any](

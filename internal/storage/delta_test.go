@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"st4ml/internal/geom"
 	"st4ml/internal/index"
 )
 
@@ -110,7 +111,7 @@ func TestCompactFoldsDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	parts := makeParts(rng, 2, 60)
 	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "c", BlockRecords: 16, Compress: true}); err != nil {
+	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "c", BlockRecords: 16}); err != nil {
 		t.Fatal(err)
 	}
 	var combined []rec
@@ -188,13 +189,13 @@ func TestCompactFoldsDeltas(t *testing.T) {
 
 // TestCompactV1Dataset pins the mixed-format path: a legacy v1 dataset
 // takes delta appends and compaction, the rewritten partitions switching
-// to the v2 block layout via the per-partition Format override while the
+// to the v3 layout via the per-partition Format override while the
 // untouched ones stay v1.
 func TestCompactV1Dataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	parts := makeParts(rng, 3, 50)
 	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "v1", Version: 1}); err != nil {
+	if _, err := writeFixture(dir, recC, parts, recBox, fixtureOptions{Name: "v1", Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var combined []rec
@@ -223,16 +224,16 @@ func TestCompactV1Dataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawV1, sawV2 := false, false
+	sawV1, sawV3 := false, false
 	for _, pm := range meta.Partitions {
 		if pm.Format == FormatVersion {
-			sawV2 = true
+			sawV3 = true
 		} else {
 			sawV1 = true
 		}
 	}
-	if !sawV1 || !sawV2 {
-		t.Fatalf("expected mixed formats after partial compaction (v1=%v v2=%v)", sawV1, sawV2)
+	if !sawV1 || !sawV3 {
+		t.Fatalf("expected mixed formats after partial compaction (v1=%v v3=%v)", sawV1, sawV3)
 	}
 	if got := readAll(t, dir, nil); !reflect.DeepEqual(got, want) {
 		t.Fatal("v1 post-compaction mismatch")
@@ -260,7 +261,7 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 
 				deltaDir := t.TempDir()
 				if _, err := Write(deltaDir, recC, parts, recBox, WriteOptions{
-					Name: lay.name, Compress: lay.compress, BlockRecords: bs,
+					Name: lay.name, BlockRecords: bs,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -277,7 +278,7 @@ func TestMetamorphicDeltaEquivalence(t *testing.T) {
 				rebuildDir := t.TempDir()
 				rebuilt := [][]rec{combined}
 				if _, err := Write(rebuildDir, recC, rebuilt, recBox, WriteOptions{
-					Name: lay.name, Compress: lay.compress, BlockRecords: bs,
+					Name: lay.name, BlockRecords: bs,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -327,7 +328,7 @@ func TestDeltaCrossFormatMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	parts := makeParts(rng, 3, 60)
 	dir := t.TempDir()
-	if _, err := Write(dir, recC, parts, recBox, WriteOptions{
+	if _, err := writeFixture(dir, recC, parts, recBox, fixtureOptions{
 		Name: "xfmt", Version: 2, Compress: true, BlockRecords: 16,
 	}); err != nil {
 		t.Fatal(err)
@@ -648,5 +649,93 @@ func TestMergeMetadataCarriesDeltas(t *testing.T) {
 	want = append(want, extra...)
 	if !reflect.DeepEqual(canonical(got), canonical(want)) {
 		t.Fatalf("merged read %d records, want %d", len(got), len(want))
+	}
+}
+
+// TestLegacyAppendCompactUsesDefaultBlockSize pins the block size of v3
+// files written into a v1 store, whose metadata records none: deltas and
+// compaction rewrites fall back to the block size a fresh ingest uses
+// (1024), so one partition's 1500 appended records and its 1540-record
+// rewrite both split into blocks of at most 1024.
+func TestLegacyAppendCompactUsesDefaultBlockSize(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{MetadataFile, "part-00000.stp", "part-00001.stp"} {
+		b, err := os.ReadFile(filepath.Join("testdata/v1-golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 0 || meta.BlockRecords != 0 {
+		t.Fatalf("golden copy is not a v1 store: version=%d block_records=%d", meta.Version, meta.BlockRecords)
+	}
+	// Records strictly inside partition 0's extent all route to it.
+	p0 := meta.Partitions[0]
+	rng := rand.New(rand.NewSource(7))
+	extra := make([]goldenRec, 1500)
+	for i := range extra {
+		extra[i] = goldenRec{
+			ID: int64(10_000 + i),
+			P: geom.Pt(p0.MinX+rng.Float64()*(p0.MaxX-p0.MinX),
+				p0.MinY+rng.Float64()*(p0.MaxY-p0.MinY)),
+			T: p0.TStart + rng.Int63n(p0.TEnd-p0.TStart),
+			S: "appended",
+		}
+	}
+	goldenBox := func(v goldenRec) index.Box { return index.BoxOfPoint(v.P, v.T) }
+	fresh, err := Write(t.TempDir(), goldenRecC, [][]goldenRec{extra}, goldenBox, WriteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(fresh.BlockRecords)
+	if _, err := AppendDelta(dir, goldenRecC, extra, goldenBox, AppendOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// checkBlocks requires the v3 file to hold n records in blocks of at
+	// most limit records, as few blocks as that allows.
+	checkBlocks := func(pm PartitionMeta, n int64) {
+		t.Helper()
+		if pm.Format != FormatVersion || pm.Count != n {
+			t.Fatalf("%s: format %d, %d records; want v%d, %d", pm.File, pm.Format, pm.Count, FormatVersion, n)
+		}
+		f, _, blocks, _, _, err := readFooterV3(filepath.Join(dir, pm.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if want := int((n + limit - 1) / limit); len(blocks) != want {
+			t.Fatalf("%s: %d blocks, want %d", pm.File, len(blocks), want)
+		}
+		for _, b := range blocks {
+			if b.Count > limit {
+				t.Fatalf("%s: block of %d records, a fresh ingest writes at most %d", pm.File, b.Count, limit)
+			}
+		}
+	}
+	meta, err = ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := meta.Deltas(0); len(ds) != 1 || meta.DeltaCount() != 1 {
+		t.Fatalf("deltas: partition 0 has %d, store has %d; want 1 and 1", len(ds), meta.DeltaCount())
+	}
+	checkBlocks(meta.Deltas(0)[0].PartitionMeta, int64(len(extra)))
+
+	if _, err := Compact(dir, goldenRecC, goldenBox, CompactOptions{MinDeltas: 1, GCGrace: -1}); err != nil {
+		t.Fatal(err)
+	}
+	meta, err = ReadMetadata(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlocks(meta.Partitions[0], p0.Count+int64(len(extra)))
+	if meta.Partitions[1].Format != 0 {
+		t.Fatalf("untouched partition rewritten: %+v", meta.Partitions[1])
 	}
 }

@@ -1,9 +1,11 @@
-// Backward-compatibility golden test: a v1 dataset written by the
-// pre-block storage layer is committed under testdata/, and every future
-// reader must keep returning exactly the records recorded beside it.
-// Regenerate with `go test ./internal/storage -run TestGoldenV1 -update`
-// only when intentionally re-seeding (the committed files are the
-// contract; regenerating weakens it to a self-test for one commit).
+// Backward-compatibility golden tests: the same dataset written in each
+// storage generation is committed under testdata/, and every future reader
+// must keep returning exactly the records recorded beside it. The v1 and
+// v2 copies were written by releases that could still write those layouts
+// and cannot be regenerated; the v3 copy can, with
+// `go test ./internal/storage -run TestGoldenV3 -update`, but only when
+// intentionally re-seeding (the committed files are the contract;
+// regenerating weakens it to a self-test for one commit).
 package storage_test
 
 import (
@@ -50,29 +52,9 @@ func goldenRecords() [][]stdata.EventRec {
 
 func TestGoldenV1DatasetStillReads(t *testing.T) {
 	parts := goldenRecords()
-	if *updateGolden {
-		if err := os.RemoveAll(goldenDir); err != nil {
-			t.Fatal(err)
-		}
-		// Version 1 pins the legacy monolithic layout — the whole point is
-		// that files written before the block format keep working.
-		_, err := storage.Write(goldenDir, stdata.EventRecC, parts,
-			stdata.EventRec.Box,
-			storage.WriteOptions{Name: "v1-golden", Compress: true, Version: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.MarshalIndent(parts, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(goldenDir, "records.json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	meta, err := storage.ReadMetadata(goldenDir)
 	if err != nil {
-		t.Fatalf("golden dataset unreadable (run with -update to regenerate): %v", err)
+		t.Fatalf("golden dataset unreadable: %v", err)
 	}
 	if meta.Version != 0 {
 		t.Fatalf("golden dataset is not v1: version=%d", meta.Version)
@@ -98,7 +80,7 @@ func TestGoldenV1DatasetStillReads(t *testing.T) {
 		}
 	}
 	// The in-memory generator still matches the committed records, so a
-	// future -update cannot silently change the dataset's content.
+	// v3 -update cannot silently change the dataset's content.
 	if !reflect.DeepEqual(parts, want) {
 		t.Fatal("goldenRecords() drifted from committed records.json")
 	}
@@ -129,7 +111,7 @@ func readGolden(t *testing.T, dir string, wantVersion int) [][]stdata.EventRec {
 	t.Helper()
 	meta, err := storage.ReadMetadata(dir)
 	if err != nil {
-		t.Fatalf("golden dataset %s unreadable (run with -update to regenerate): %v", dir, err)
+		t.Fatalf("golden dataset %s unreadable: %v", dir, err)
 	}
 	if meta.Version != wantVersion {
 		t.Fatalf("%s: version = %d, want %d", dir, meta.Version, wantVersion)
@@ -158,13 +140,8 @@ func readGolden(t *testing.T, dir string, wantVersion int) [][]stdata.EventRec {
 
 // TestGoldenV2DatasetStillReads pins the row-major gzip block layout: the
 // committed v2-golden files must keep decoding to the recorded records on
-// every future reader, including through block-level pruning.
+// every future reader.
 func TestGoldenV2DatasetStillReads(t *testing.T) {
-	if *updateGolden {
-		writeGolden(t, goldenV2Dir, storage.WriteOptions{
-			Name: "v2-golden", Compress: true, Version: 2, BlockRecords: 16,
-		})
-	}
 	readGolden(t, goldenV2Dir, 2)
 }
 
@@ -173,9 +150,7 @@ func TestGoldenV2DatasetStillReads(t *testing.T) {
 // decoding to the recorded records.
 func TestGoldenV3DatasetStillReads(t *testing.T) {
 	if *updateGolden {
-		writeGolden(t, goldenV3Dir, storage.WriteOptions{
-			Name: "v3-golden", Version: 3, BlockRecords: 16,
-		})
+		writeGolden(t, goldenV3Dir, storage.WriteOptions{Name: "v3-golden", BlockRecords: 16})
 	}
 	readGolden(t, goldenV3Dir, 3)
 }

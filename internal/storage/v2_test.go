@@ -104,7 +104,7 @@ func TestMetamorphicBlockPrunedEqualsFull(t *testing.T) {
 				rng := rand.New(rand.NewSource(lay.seed))
 				parts := makeParts(rng, lay.nParts, lay.perPart)
 				dir := t.TempDir()
-				meta, err := Write(dir, fm.c, parts, recBox, WriteOptions{
+				meta, err := writeFixture(dir, fm.c, parts, recBox, fixtureOptions{
 					Name: lay.name, Version: fm.version, Compress: lay.compress, BlockRecords: bs,
 				})
 				if err != nil {
@@ -248,9 +248,7 @@ func TestV2PrunedReadSkipsBytes(t *testing.T) {
 	// by sorting on time so consecutive blocks cover disjoint time slices.
 	sort.Slice(parts[0], func(i, j int) bool { return parts[0][i].T < parts[0][j].T })
 	dir := t.TempDir()
-	meta, err := Write(dir, recC, parts, recBox, WriteOptions{
-		Name: "skip", Compress: true, BlockRecords: 256,
-	})
+	meta, err := Write(dir, recC, parts, recBox, WriteOptions{Name: "skip", BlockRecords: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,15 +270,15 @@ func TestV2PrunedReadSkipsBytes(t *testing.T) {
 	}
 }
 
-// TestV1OptionStillWritesLegacyLayout pins the Version escape hatch: a
-// Version-1 write produces a dataset the reader handles via the legacy
-// path, returning identical records and whole-file stats.
-func TestV1OptionStillWritesLegacyLayout(t *testing.T) {
+// TestV1LayoutReadsWhole pins the legacy monolithic read path, plain and
+// gzipped: a v1 dataset returns identical records and whole-file stats,
+// whatever the windows.
+func TestV1LayoutReadsWhole(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(31))
 		parts := makeParts(rng, 2, 120)
 		dir := t.TempDir()
-		meta, err := Write(dir, recC, parts, recBox, WriteOptions{
+		meta, err := writeFixture(dir, recC, parts, recBox, fixtureOptions{
 			Name: "v1", Compress: compress, Version: 1,
 		})
 		if err != nil {
